@@ -24,26 +24,15 @@ type netConfig struct {
 	locksPer int           // max granules claimed per transaction
 	timeout  time.Duration // per-acquire wait deadline
 	faults   bool          // inject drops/delays/partial writes
-	proto    string        // wire protocol: "v1" (JSON) or "v2" (binary pipelined)
 	seed     uint64
 	asJSON   bool
-}
-
-// netClient is the client surface the harness needs; both the v1 JSON
-// client and the v2 binary client satisfy it.
-type netClient interface {
-	AcquireAllTimeout(txn int64, reqs []lockmgr.Request, timeout time.Duration) error
-	ReleaseAll(txn int64) error
-	Reconnects() int64
-	Retries() int64
-	Close() error
 }
 
 // netSummary is what the harness reports.
 type netSummary struct {
 	Workers     int     `json:"workers"`
 	Txns        int     `json:"txns"`
-	Proto       string  `json:"proto"`
+	Proto       string  `json:"proto"`        // "v2", or "cluster" for -cluster runs
 	Timeouts    int64   `json:"timeouts"`     // acquire timeouts retried by workers
 	Reconnects  int64   `json:"reconnects"`   // client transport reconnects
 	Retries     int64   `json:"retries"`      // client request retries
@@ -119,13 +108,7 @@ func runNet(cfg netConfig, out *os.File) error {
 				opts = append(opts, locksrv.WithDialer(
 					locksrv.FaultyDialer(faultCfg, cfg.seed^uint64(w+1)<<16, &fs)))
 			}
-			var c netClient
-			var err error
-			if cfg.proto == "v2" {
-				c, err = locksrv.DialV2(addr, opts...)
-			} else {
-				c, err = locksrv.Dial(addr, opts...)
-			}
+			c, err := locksrv.DialV2(addr, opts...)
 			if err != nil {
 				errCh <- fmt.Errorf("worker %d: %w", w, err)
 				return
@@ -193,14 +176,10 @@ func runNet(cfg netConfig, out *os.File) error {
 	if len(acqMS) > 0 {
 		qs = stats.Quantiles(acqMS, 0.50, 0.90, 0.99)
 	}
-	proto := cfg.proto
-	if proto == "" {
-		proto = "v1"
-	}
 	sum := netSummary{
 		Workers:     cfg.workers,
 		Txns:        cfg.txns,
-		Proto:       proto,
+		Proto:       "v2",
 		Timeouts:    timeouts.Load(),
 		Reconnects:  reconnects.Load(),
 		Retries:     retries.Load(),

@@ -235,4 +235,3 @@ func ExtProtoMPL(o Options) (Figure, error) {
 		},
 	}, nil
 }
-

@@ -175,34 +175,8 @@ func TestDrainFailsPipelinedBacklogTyped(t *testing.T) {
 	}
 }
 
-// Regression: Client.Close during a retry backoff sleep used to let
-// the sleep run to completion. The close must abort it immediately.
-func TestCloseAbortsBackoffV1(t *testing.T) {
-	addr, srv := startServer(t)
-	c, err := Dial(addr, WithRetries(5), WithBackoff(5*time.Second, 5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.AcquireAll(1, xreq(1)); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close() // kill the server so the next call lands in backoff
-	done := make(chan error, 1)
-	go func() { done <- c.AcquireAll(2, xreq(2)) }()
-	time.Sleep(100 * time.Millisecond) // let the call reach its backoff sleep
-	start := time.Now()
-	c.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClientClosed) {
-			t.Fatalf("want ErrClientClosed, got %v", err)
-		}
-	case <-time.After(1500 * time.Millisecond):
-		t.Fatalf("Close did not abort a 5s backoff sleep (waited %v)", time.Since(start))
-	}
-}
-
+// Regression: Close during a retry backoff sleep used to let the sleep
+// run to completion. The close must abort it immediately.
 func TestCloseAbortsBackoffV2(t *testing.T) {
 	addr, srv := startServer(t)
 	c := dialV2(t, addr, WithRetries(5), WithBackoff(5*time.Second, 5*time.Second))

@@ -1,25 +1,20 @@
 package locksrv
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"granulock/internal/lockmgr"
 	"granulock/internal/obs"
 	"granulock/internal/rng"
 )
 
-// Typed protocol errors, unwrapped from Response.Code with errors.Is.
-// These are lock-protocol outcomes, not transport failures: the client
-// never retries them at the transport layer (the caller decides — a
-// timed-out acquire is commonly retried after releasing, a foreign
-// release is a logic bug).
+// Typed protocol errors, decoded from a reply's status byte and matched
+// with errors.Is. These are lock-protocol outcomes, not transport
+// failures: the client never retries them at the transport layer (the
+// caller decides — a timed-out acquire is commonly retried after
+// releasing, a foreign release is a logic bug).
 //
 // locksrv is a wire boundary: every error the package constructs in a
 // function body must wrap one of these taxonomy values with %w, so
@@ -44,24 +39,59 @@ var (
 	// a protocol-version mismatch between client and server.
 	ErrUnknownOp = errors.New("locksrv: unknown op")
 	// ErrMalformedReply: the client could not decode a server reply, or
-	// the reply carried a code outside the taxonomy — framing or
+	// the reply carried a status outside the taxonomy — framing or
 	// protocol state is suspect.
 	ErrMalformedReply = errors.New("locksrv: malformed reply")
 	// ErrRedirect: the request reached a cluster node that does not
-	// serve the granule set. In v2 replies the concrete error is a
-	// *RedirectError carrying the owning node's index and address
-	// (errors.As); the cluster client follows it transparently.
+	// serve the granule set. The concrete error is a *RedirectError
+	// carrying the owning node's index and address (errors.As); the
+	// cluster client follows it transparently.
 	ErrRedirect = errors.New("locksrv: granule served by another node")
 	// ErrLeaseExpired: a lease re-assert lost the failover race — the
 	// recovery window sealed before the assert arrived, or the grants
 	// conflict with state already reconstructed. The transaction's locks
 	// are gone and the caller must re-claim from scratch.
 	ErrLeaseExpired = errors.New("locksrv: lease expired")
+	// ErrUnavailable: the server could not durably journal the grant
+	// (WithJournal); the claim was withdrawn and may be retried.
+	ErrUnavailable = errors.New("locksrv: grant journal unavailable")
 )
 
-// RedirectError is the concrete error behind ErrRedirect on the v2
-// path: the serving node's ring index and dial address, parsed from
-// the redirect detail. Match with errors.As to follow the redirect, or
+// statusErrs is the one mapping from wire status to typed error. A
+// status outside the table decodes as ErrMalformedReply.
+var statusErrs = [...]error{
+	statusTimeout:      ErrTimeout,
+	statusClosed:       ErrSessionClosed,
+	statusNotOwner:     ErrNotOwner,
+	statusBadRequest:   ErrBadRequest,
+	statusUnknownOp:    ErrUnknownOp,
+	statusRedirect:     ErrRedirect,
+	statusLeaseExpired: ErrLeaseExpired,
+	statusUnavailable:  ErrUnavailable,
+}
+
+// statusErr converts a reply status and its detail into a typed error;
+// nil for statusOK. A well-formed redirect detail becomes a
+// *RedirectError.
+func statusErr(op string, status byte, detail []byte) error {
+	if status == statusOK {
+		return nil
+	}
+	var base error = ErrMalformedReply
+	if int(status) < len(statusErrs) && statusErrs[status] != nil {
+		base = statusErrs[status]
+	}
+	if status == statusRedirect {
+		if node, addr, ok := parseRedirectDetail(string(detail)); ok {
+			base = &RedirectError{Node: node, Addr: addr}
+		}
+	}
+	return fmt.Errorf("locksrv: %s: %w (%s)", op, base, detail)
+}
+
+// RedirectError is the concrete error behind ErrRedirect: the serving
+// node's ring index and dial address, parsed from the redirect detail.
+// Match with errors.As to follow the redirect, or
 // errors.Is(err, ErrRedirect) to merely classify it.
 type RedirectError struct {
 	Node int    // ring index of the serving node
@@ -76,8 +106,7 @@ func (e *RedirectError) Error() string {
 func (e *RedirectError) Unwrap() error { return ErrRedirect }
 
 // redirectDetail encodes the serving node for a redirect reply; the
-// format is shared by v1 Response.Err, v2 single frames and batch
-// sub-item messages.
+// format is shared by single frames and batch sub-item messages.
 func redirectDetail(node int, addr string) string {
 	return fmt.Sprintf("%d %s", node, addr)
 }
@@ -97,52 +126,8 @@ func parseRedirectDetail(detail string) (node int, addr string, ok bool) {
 	return node, detail[i+1:], true
 }
 
-// Client is one lock-manager session. A Client serializes its requests
-// (one in flight at a time) and belongs to one worker, mirroring a
-// database session; open one Client per concurrent worker. Methods are
-// not safe for concurrent use on the same Client.
-//
-// The client survives transport faults: a failed send, receive or dial
-// tears the connection down and retries the request on a fresh
-// connection, with capped exponential backoff and deterministic jitter,
-// up to the retry budget. Retrying is safe because a dead session's
-// grants are force-released by the server — re-sending an acquire whose
-// response was lost re-claims from a clean slate, and re-sending a
-// release is idempotent. Lock-protocol errors (timeout, not_owner,
-// bad_request) come back as typed errors and are never retried here.
-type Client struct {
-	clientCfg
-
-	// connMu guards the conn pointer handoff between the request
-	// goroutine (connect/dropConn) and Close, which may be called from
-	// another goroutine to abort an in-flight blocking acquire. dec,
-	// encBuf and enc are touched only by the request goroutine.
-	connMu sync.Mutex
-	conn   net.Conn
-	closed atomic.Bool
-	// closeCh is closed exactly once by Close; the backoff sleep selects
-	// on it so Close aborts a reconnect backoff immediately instead of
-	// letting the attempt sleep out its delay.
-	closeCh chan struct{}
-
-	dec *json.Decoder
-	// encBuf is the reused request encode buffer: each request is
-	// marshaled into it and written to the connection with one Write,
-	// instead of allocating an encoder buffer per call.
-	encBuf bytes.Buffer
-	enc    *json.Encoder
-
-	// timer is the reusable backoff timer behind the default sleep; the
-	// client is single-goroutine, so one per session suffices and no
-	// backoff allocates a timer per call.
-	timer *time.Timer
-
-	reconnects int64
-	retried    int64
-}
-
-// clientCfg is the configuration shared by the v1 Client and the
-// pipelined ClientV2; ClientOption values apply to either.
+// clientCfg is the configuration shared by ClientV2 and the cluster
+// client; ClientOption values apply to either.
 type clientCfg struct {
 	addr string
 	dial func(addr string) (net.Conn, error)
@@ -179,7 +164,7 @@ func defaultClientCfg(addr string) clientCfg {
 	}
 }
 
-// ClientOption configures a Client or ClientV2.
+// ClientOption configures a ClientV2 or a ClusterClient.
 type ClientOption func(*clientCfg)
 
 // WithRetries sets how many times a request is retried after a
@@ -221,297 +206,4 @@ func WithClientMetrics(reg *obs.Registry) ClientOption {
 		c.mRetries = reg.NewCounter("granulock_locksrv_client_retries_total",
 			"Request attempts that were transport retries.")
 	}
-}
-
-// Dial connects to a lock server.
-func Dial(addr string, opts ...ClientOption) (*Client, error) {
-	c := &Client{clientCfg: defaultClientCfg(addr), closeCh: make(chan struct{})}
-	for _, o := range opts {
-		o(&c.clientCfg)
-	}
-	if err := c.connect(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// doSleep sleeps for d using the test seam if set, else the client's
-// reusable timer. A concurrent Close aborts the sleep immediately: the
-// caller's retry loop observes closed on its next iteration and fails
-// with ErrClientClosed instead of waiting out the backoff.
-func (c *Client) doSleep(d time.Duration) {
-	if c.sleep != nil {
-		c.sleep(d)
-		return
-	}
-	if d <= 0 {
-		return
-	}
-	if c.timer == nil {
-		c.timer = time.NewTimer(d)
-	} else {
-		// The timer was always left fired-and-drained or
-		// stopped-and-drained by the select below, so Reset is safe.
-		c.timer.Reset(d)
-	}
-	select {
-	case <-c.timer.C:
-	case <-c.closeCh:
-		if !c.timer.Stop() {
-			<-c.timer.C
-		}
-	}
-}
-
-// connect opens a fresh connection, replacing any previous one. It
-// refuses (closing the new conn) if Close won the race.
-func (c *Client) connect() error {
-	conn, err := c.dial(c.addr)
-	if err != nil {
-		return fmt.Errorf("locksrv: dial: %w", err)
-	}
-	c.connMu.Lock()
-	if c.closed.Load() {
-		c.connMu.Unlock()
-		conn.Close()
-		return ErrClientClosed
-	}
-	c.conn = conn
-	c.connMu.Unlock()
-	// json.Decoder buffers internally; decoding straight off the conn
-	// keeps reconnect simple (no external buffer to lose bytes in).
-	c.dec = json.NewDecoder(conn)
-	if c.enc == nil {
-		c.enc = json.NewEncoder(&c.encBuf)
-	}
-	return nil
-}
-
-// dropConn tears down a connection after a transport error.
-func (c *Client) dropConn() {
-	c.connMu.Lock()
-	conn := c.conn
-	c.conn = nil
-	c.connMu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-}
-
-// haveConn reports whether a connection is currently established.
-func (c *Client) haveConn() bool {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return c.conn != nil
-}
-
-// backoffDelay returns the sleep before reconnect attempt k (0-based):
-// capped exponential with deterministic jitter drawn from the client's
-// rng stream, uniform in [d/2, d).
-func (c *Client) backoffDelay(attempt int) time.Duration {
-	d := c.backoffBase
-	for i := 0; i < attempt && d < c.backoffMax; i++ {
-		d *= 2
-	}
-	if d > c.backoffMax {
-		d = c.backoffMax
-	}
-	if d <= 0 {
-		return 0
-	}
-	half := d / 2
-	return half + time.Duration(c.jitter.Intn(int(half)+1))
-}
-
-// roundTrip sends one request and reads its response, reconnecting and
-// retrying on transport failures within the retry budget.
-func (c *Client) roundTrip(req Request) (Response, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if c.closed.Load() {
-			if lastErr != nil {
-				return Response{}, fmt.Errorf("%w (after: %v)", ErrClientClosed, lastErr)
-			}
-			return Response{}, ErrClientClosed
-		}
-		if attempt > 0 {
-			c.retried++
-			if c.mRetries != nil {
-				c.mRetries.Inc()
-			}
-			c.doSleep(c.backoffDelay(attempt - 1))
-		}
-		if !c.haveConn() {
-			if err := c.connect(); err != nil {
-				if errors.Is(err, ErrClientClosed) {
-					return Response{}, err
-				}
-				lastErr = err
-				continue
-			}
-			c.reconnects++
-			if c.mReconnects != nil {
-				c.mReconnects.Inc()
-			}
-		}
-		// Encode into the reused buffer, then write the request in one
-		// call. The conn pointer is re-read under connMu so a concurrent
-		// Close cannot hand us a stale non-nil conn.
-		c.encBuf.Reset()
-		if err := c.enc.Encode(req); err != nil {
-			c.dropConn()
-			lastErr = fmt.Errorf("locksrv: send: %w", err)
-			continue
-		}
-		c.connMu.Lock()
-		conn := c.conn
-		c.connMu.Unlock()
-		if conn == nil {
-			lastErr = fmt.Errorf("locksrv: send: %w", net.ErrClosed)
-			continue
-		}
-		if _, err := conn.Write(c.encBuf.Bytes()); err != nil {
-			c.dropConn()
-			lastErr = fmt.Errorf("locksrv: send: %w", err)
-			continue
-		}
-		var resp Response
-		if err := c.dec.Decode(&resp); err != nil {
-			c.dropConn()
-			lastErr = fmt.Errorf("locksrv: receive: %w", err)
-			continue
-		}
-		return resp, nil
-	}
-	return Response{}, fmt.Errorf("locksrv: retry budget exhausted after %d attempts: %w", c.retries+1, lastErr)
-}
-
-// Reconnects returns how many times the client re-established its
-// connection after a transport failure.
-func (c *Client) Reconnects() int64 { return c.reconnects }
-
-// Retries returns how many request attempts were retries.
-func (c *Client) Retries() int64 { return c.retried }
-
-// respErr converts a protocol-level failure into a typed error.
-func respErr(op string, resp Response) error {
-	if resp.OK {
-		return nil
-	}
-	var base error
-	switch resp.Code {
-	case CodeTimeout:
-		base = ErrTimeout
-	case CodeNotOwner:
-		base = ErrNotOwner
-	case CodeClosed:
-		base = ErrSessionClosed
-	case CodeBadRequest:
-		base = ErrBadRequest
-	case CodeUnknownOp:
-		base = ErrUnknownOp
-	case CodeRedirect:
-		if node, addr, ok := parseRedirectDetail(resp.Err); ok {
-			base = &RedirectError{Node: node, Addr: addr}
-		} else {
-			base = ErrRedirect
-		}
-	case CodeLeaseExpired:
-		base = ErrLeaseExpired
-	default:
-		// A code outside the taxonomy: the server speaks a newer (or
-		// corrupted) protocol revision.
-		base = ErrMalformedReply
-	}
-	return fmt.Errorf("locksrv: %s: %w (%s)", op, base, resp.Err)
-}
-
-// AcquireAll conservatively claims the lock set for txn, blocking until
-// granted. Mirrors lockmgr.Table.AcquireAll across the wire.
-func (c *Client) AcquireAll(txn int64, reqs []lockmgr.Request) error {
-	return c.AcquireAllTimeout(txn, reqs, 0)
-}
-
-// AcquireAllTimeout is AcquireAll with a wait deadline: if the claim is
-// not granted within timeout the server withdraws it, the transaction
-// holds nothing, and the call fails with an error matching ErrTimeout
-// (errors.Is). Zero timeout waits indefinitely.
-func (c *Client) AcquireAllTimeout(txn int64, reqs []lockmgr.Request, timeout time.Duration) error {
-	granules := make([]int64, len(reqs))
-	exclusive := make([]bool, len(reqs))
-	for i, r := range reqs {
-		granules[i] = int64(r.Granule)
-		exclusive[i] = r.Mode == lockmgr.ModeExclusive
-	}
-	// Round a sub-millisecond timeout up to the wire's 1ms resolution:
-	// the protocol reads timeout_ms=0 as "wait indefinitely", so
-	// truncation would turn a tight deadline into an unbounded block.
-	timeoutMS := int64(timeout / time.Millisecond)
-	if timeout > 0 && timeoutMS == 0 {
-		timeoutMS = 1
-	}
-	resp, err := c.roundTrip(Request{
-		Op:        "acquire",
-		Txn:       txn,
-		Granules:  granules,
-		Exclusive: exclusive,
-		TimeoutMS: timeoutMS,
-	})
-	if err != nil {
-		return err
-	}
-	return respErr("acquire", resp)
-}
-
-// ReleaseAll releases everything txn holds. Releasing a transaction
-// granted on a different session fails with an error matching
-// ErrNotOwner; releasing an unknown transaction is an idempotent no-op.
-func (c *Client) ReleaseAll(txn int64) error {
-	resp, err := c.roundTrip(Request{Op: "release", Txn: txn})
-	if err != nil {
-		return err
-	}
-	return respErr("release", resp)
-}
-
-// Stats fetches the server's lock-table counters.
-func (c *Client) Stats() (lockmgr.Stats, error) {
-	table, _, err := c.FullStats()
-	return table, err
-}
-
-// FullStats fetches both halves of the "stats" op: the lock-table
-// counters and the service-level gauges, counters and wait quantiles.
-func (c *Client) FullStats() (lockmgr.Stats, ServerStats, error) {
-	resp, err := c.roundTrip(Request{Op: "stats"})
-	if err != nil {
-		return lockmgr.Stats{}, ServerStats{}, err
-	}
-	if !resp.OK || resp.Stats == nil {
-		return lockmgr.Stats{}, ServerStats{}, respErr("stats", resp)
-	}
-	var srv ServerStats
-	if resp.Server != nil {
-		srv = *resp.Server
-	}
-	return *resp.Stats, srv, nil
-}
-
-// Close ends the session; the server releases any locks its
-// transactions still hold. Close is the one method safe to call from
-// another goroutine: it aborts an in-flight blocking request (the
-// request fails with an error matching ErrClientClosed) and disables
-// further reconnects.
-func (c *Client) Close() error {
-	if c.closed.CompareAndSwap(false, true) && c.closeCh != nil {
-		close(c.closeCh)
-	}
-	c.connMu.Lock()
-	conn := c.conn
-	c.conn = nil
-	c.connMu.Unlock()
-	if conn == nil {
-		return nil
-	}
-	return conn.Close()
 }

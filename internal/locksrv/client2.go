@@ -18,21 +18,22 @@ import (
 // raced a connection teardown.
 var errConnLost = errors.New("locksrv: connection lost")
 
-// ClientV2 speaks the binary pipelined protocol. Unlike the v1 Client,
-// its methods ARE safe for concurrent use: calls from many goroutines
-// multiplex over one connection, each tagged with a request id, and
-// responses are matched back as they arrive — out of order when the
-// server completes them out of order. That multiplexing is the whole
-// point: N concurrent calls cost one connection and, thanks to write
-// coalescing on both sides, far fewer than 2N syscalls.
+// ClientV2 is one lock-manager session speaking the binary pipelined
+// protocol. Its methods are safe for concurrent use: calls from many
+// goroutines multiplex over one connection, each tagged with a request
+// id, and responses are matched back as they arrive — out of order when
+// the server completes them out of order. That multiplexing is the
+// whole point: N concurrent calls cost one connection and, thanks to
+// write coalescing on both sides, far fewer than 2N syscalls.
 //
-// Transport fault handling mirrors the v1 client: a dead connection
-// fails every in-flight call with a transport error, and each call
-// retries on a fresh connection (single-flight redial) with capped
-// exponential backoff and deterministic jitter, up to the retry budget.
-// Retrying is safe for the same reason as in v1 — a dead session's
-// grants are force-released by the server. Lock-protocol errors
-// (timeout, not_owner, bad_request) are returned typed and never
+// The client survives transport faults: a dead connection fails every
+// in-flight call with a transport error, and each call retries on a
+// fresh connection (single-flight redial) with capped exponential
+// backoff and deterministic jitter, up to the retry budget. Retrying is
+// safe because a dead session's grants are force-released by the
+// server — re-sending an acquire whose response was lost re-claims from
+// a clean slate, and re-sending a release is idempotent. Lock-protocol
+// errors (timeout, not_owner, bad_request) are returned typed and never
 // retried.
 type ClientV2 struct {
 	cfg clientCfg
@@ -79,8 +80,7 @@ type v2Reply struct {
 // pooled channel is always empty.
 var replyChPool = sync.Pool{New: func() any { return make(chan v2Reply, 1) }}
 
-// DialV2 connects to a lock server speaking protocol v2. It accepts the
-// same options as Dial.
+// DialV2 connects to a lock server.
 func DialV2(addr string, opts ...ClientOption) (*ClientV2, error) {
 	c := &ClientV2{
 		cfg:     defaultClientCfg(addr),
@@ -333,7 +333,9 @@ func (c *ClientV2) roundTrip2(op byte, build func(fb *frameBuf)) (v2Reply, error
 	return v2Reply{}, fmt.Errorf("locksrv: retry budget exhausted after %d attempts: %w", c.cfg.retries+1, lastErr)
 }
 
-// backoffDelay mirrors Client.backoffDelay. The jitter source is not
+// backoffDelay returns the sleep before reconnect attempt k (0-based):
+// capped exponential with deterministic jitter drawn from the client's
+// rng stream, uniform in [d/2, d). The jitter source is not
 // concurrency-safe, so draws are serialized under mu.
 func (c *ClientV2) backoffDelay(attempt int) time.Duration {
 	d := c.cfg.backoffBase
@@ -403,14 +405,6 @@ func (s *sleeper) stop() {
 	}
 }
 
-// replyErr maps a v2 status onto the shared typed-error taxonomy.
-func replyErr(op string, r v2Reply) error {
-	if r.status == statusOK {
-		return nil
-	}
-	return respErr(op, Response{Code: statusToCode(r.status), Err: string(r.body)})
-}
-
 // appendAcquireBody encodes one acquire body onto fb.
 func appendAcquireBody(fb *frameBuf, txn int64, reqs []lockmgr.Request, timeoutMS int64) {
 	fb.appendU64(uint64(txn))
@@ -442,8 +436,10 @@ func (c *ClientV2) AcquireAll(txn int64, reqs []lockmgr.Request) error {
 	return c.AcquireAllTimeout(txn, reqs, 0)
 }
 
-// AcquireAllTimeout is AcquireAll with a wait deadline, mirroring the
-// v1 client's semantics (ErrTimeout on expiry, nothing held).
+// AcquireAllTimeout is AcquireAll with a wait deadline: if the claim is
+// not granted within timeout the server withdraws it, the transaction
+// holds nothing, and the call fails with an error matching ErrTimeout
+// (errors.Is). Zero timeout waits indefinitely.
 func (c *ClientV2) AcquireAllTimeout(txn int64, reqs []lockmgr.Request, timeout time.Duration) error {
 	ms := wireTimeoutMS(timeout)
 	reply, err := c.roundTrip2(opAcquire, func(fb *frameBuf) {
@@ -452,12 +448,12 @@ func (c *ClientV2) AcquireAllTimeout(txn int64, reqs []lockmgr.Request, timeout 
 	if err != nil {
 		return err
 	}
-	return replyErr("acquire", reply)
+	return statusErr("acquire", reply.status, reply.body)
 }
 
-// ReleaseAll releases everything txn holds. Semantics match the v1
-// client: foreign transactions fail with ErrNotOwner, unknown ones are
-// an idempotent no-op.
+// ReleaseAll releases everything txn holds. Releasing a transaction
+// granted on a different session fails with an error matching
+// ErrNotOwner; releasing an unknown transaction is an idempotent no-op.
 func (c *ClientV2) ReleaseAll(txn int64) error {
 	reply, err := c.roundTrip2(opRelease, func(fb *frameBuf) {
 		fb.appendU64(uint64(txn))
@@ -465,7 +461,7 @@ func (c *ClientV2) ReleaseAll(txn int64) error {
 	if err != nil {
 		return err
 	}
-	return replyErr("release", reply)
+	return statusErr("release", reply.status, reply.body)
 }
 
 // Claim is one sub-claim of a batched AcquireN.
@@ -650,7 +646,7 @@ func (c *ClientV2) Lease(leaseID uint64, txns []LeaseTxn) ([]error, error) {
 // response.
 func parseBatchReply(op string, reply v2Reply, want int) ([]error, error) {
 	if reply.status != statusOK {
-		return nil, replyErr(op, reply)
+		return nil, statusErr(op, reply.status, reply.body)
 	}
 	fr := frameReader{b: reply.body}
 	k := int(fr.u32())
@@ -664,7 +660,7 @@ func parseBatchReply(op string, reply v2Reply, want int) ([]error, error) {
 		if fr.bad {
 			return nil, fmt.Errorf("%w: %sN: truncated batch response item %d", ErrMalformedReply, op, i)
 		}
-		out[i] = replyErr(op, v2Reply{status: st, body: msg})
+		out[i] = statusErr(op, st, msg)
 	}
 	if !fr.done() {
 		return nil, fmt.Errorf("%w: %sN: trailing bytes in batch response", ErrMalformedReply, op)
@@ -678,17 +674,17 @@ func (c *ClientV2) Stats() (lockmgr.Stats, error) {
 	return table, err
 }
 
-// FullStats fetches both halves of the stats op (shared JSON schema
-// with v1).
+// FullStats fetches both halves of the stats op: the lock-table
+// counters and the service-level gauges, counters and wait quantiles.
 func (c *ClientV2) FullStats() (lockmgr.Stats, ServerStats, error) {
 	reply, err := c.roundTrip2(opStats, func(fb *frameBuf) {})
 	if err != nil {
 		return lockmgr.Stats{}, ServerStats{}, err
 	}
 	if reply.status != statusOK {
-		return lockmgr.Stats{}, ServerStats{}, replyErr("stats", reply)
+		return lockmgr.Stats{}, ServerStats{}, statusErr("stats", reply.status, reply.body)
 	}
-	var resp Response
+	var resp statsReply
 	if err := json.Unmarshal(reply.body, &resp); err != nil {
 		return lockmgr.Stats{}, ServerStats{}, fmt.Errorf("locksrv: stats: %w", err)
 	}

@@ -59,10 +59,10 @@ func granulesOwnedBy(n, node, count int) []int64 {
 	return out
 }
 
-// A raw v2 client talking to the wrong node gets a typed redirect
-// carrying the owner's index and address.
+// A plain client talking to the wrong node gets a typed redirect
+// carrying the owner's index and address, and the node counts it.
 func TestClusterRedirectV2(t *testing.T) {
-	addrs, _ := startCluster(t, 2, nil)
+	addrs, servers := startCluster(t, 2, nil)
 	foreign := granulesOwnedBy(2, 1, 1)[0]
 	c := dialV2(t, addrs[0], WithRetries(0))
 	err := c.AcquireAll(1, xreq(foreign))
@@ -76,6 +76,9 @@ func TestClusterRedirectV2(t *testing.T) {
 	if !errors.Is(err, ErrRedirect) {
 		t.Fatalf("redirect error does not match ErrRedirect: %v", err)
 	}
+	if n := servers[0].ClusterStats().Redirects; n != 1 {
+		t.Fatalf("redirects counter %d, want 1", n)
+	}
 	// The same claim against the owning node succeeds.
 	c1 := dialV2(t, addrs[1], WithRetries(0))
 	if err := c1.AcquireAll(1, xreq(foreign)); err != nil {
@@ -83,27 +86,6 @@ func TestClusterRedirectV2(t *testing.T) {
 	}
 	if err := c1.ReleaseAll(1); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// v1 negotiation works against a clustered server, and a v1 client
-// gets the same typed redirect through the JSON taxonomy.
-func TestClusterRedirectV1Negotiation(t *testing.T) {
-	addrs, servers := startCluster(t, 2, nil)
-	owned := granulesOwnedBy(2, 0, 1)[0]
-	foreign := granulesOwnedBy(2, 1, 1)[0]
-	c := dial(t, addrs[0])
-	if err := c.AcquireAll(3, xreq(owned)); err != nil {
-		t.Fatalf("v1 acquire of owned granule: %v", err)
-	}
-	if err := c.AcquireAll(4, xreq(foreign)); !errors.Is(err, ErrRedirect) {
-		t.Fatalf("want ErrRedirect, got %v", err)
-	}
-	if err := c.ReleaseAll(3); err != nil {
-		t.Fatal(err)
-	}
-	if n := servers[0].ClusterStats().Redirects; n != 1 {
-		t.Fatalf("redirects counter %d, want 1", n)
 	}
 }
 

@@ -228,7 +228,7 @@ func (cc *ClusterClient) pause(d time.Duration) {
 func isProtocolErr(err error) bool {
 	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrNotOwner) ||
 		errors.Is(err, ErrBadRequest) || errors.Is(err, ErrUnknownOp) ||
-		errors.Is(err, ErrLeaseExpired)
+		errors.Is(err, ErrLeaseExpired) || errors.Is(err, ErrUnavailable)
 }
 
 // AcquireAll conservatively claims the lock set for txn across the

@@ -3,6 +3,7 @@ package locksrv
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -176,18 +177,11 @@ func TestReleaseRetryWhileOwnerTearsDown(t *testing.T) {
 // bound instead of terminally rejecting with not_owner.
 func TestReleaseRetryBeatsDisconnectDetection(t *testing.T) {
 	addr, srv := startServerOpts(t)
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	raw := dialRaw(t, addr)
+	if st, body := raw.call(opAcquire, acquireBody(1, xreq(5), 0)); st != statusOK {
+		t.Fatalf("acquire: status %d %q", st, body)
 	}
-	if _, err := raw.Write([]byte(`{"op":"acquire","txn":1,"granules":[5],"exclusive":[true]}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 256)
-	if _, err := raw.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	raw.Close() // predecessor dies without releasing
+	raw.conn.Close() // predecessor dies without releasing
 	// Retry the release immediately on a fresh session, racing the
 	// server's detection of the disconnect.
 	b := dial(t, addr)
@@ -260,6 +254,25 @@ func TestSubMillisecondTimeoutStillTimesOut(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("sub-millisecond timeout degraded to an unbounded wait")
+	}
+}
+
+// TestTimeoutOverflowRejected: a timeout_ms whose conversion to a
+// time.Duration would overflow is a malformed request, not a deadline
+// that wraps into the past and times out at once.
+func TestTimeoutOverflowRejected(t *testing.T) {
+	addr, srv := startServerOpts(t)
+	holder := dial(t, addr)
+	if err := holder.AcquireAll(1, xreq(5)); err != nil {
+		t.Fatal(err)
+	}
+	raw := dialRaw(t, addr)
+	st, body := raw.call(opAcquire, acquireBody(2, xreq(5), 1<<60))
+	if st != statusBadRequest || !strings.Contains(body, "timeout_ms") {
+		t.Fatalf("timeout_ms 2^60: status %d %q, want bad_request", st, body)
+	}
+	if st := srv.Stats(); st.Timeouts != 0 {
+		t.Fatalf("timeouts counter %d, want 0: overflow wrapped into a deadline", st.Timeouts)
 	}
 }
 
@@ -380,7 +393,7 @@ func TestDrainUnderConcurrentLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addr, WithRetries(0))
+			c, err := DialV2(addr, WithRetries(0))
 			if err != nil {
 				return // server may already be draining
 			}
@@ -459,7 +472,7 @@ func TestStatsSchema(t *testing.T) {
 func TestClientReconnectsThroughFaults(t *testing.T) {
 	addr, srv := startServerOpts(t)
 	var fs FaultStats
-	c, err := Dial(addr,
+	c, err := DialV2(addr,
 		WithDialer(FaultyDialer(FaultConfig{
 			DropProb:      0.05,
 			DelayProb:     0.2,
@@ -499,8 +512,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	c := dial(t, addr)
 	srv.Close()
 	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
-	c.retries = 3
+	c.cfg.sleep = func(d time.Duration) { slept = append(slept, d) }
+	c.cfg.retries = 3
 	err := c.AcquireAll(1, xreq(1))
 	if err == nil {
 		t.Fatal("acquire succeeded against a closed server")
@@ -510,7 +523,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 	// Capped exponential with jitter in [d/2, d): each sleep lies in
 	// the envelope for its attempt.
-	base, max := c.backoffBase, c.backoffMax
+	base, max := c.cfg.backoffBase, c.cfg.backoffMax
 	for i, d := range slept {
 		want := base << uint(i)
 		if want > max {
@@ -525,7 +538,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // TestBackoffDeterminism: the jitter stream is deterministic per seed.
 func TestBackoffDeterminism(t *testing.T) {
 	mk := func(seed uint64) []time.Duration {
-		c := &Client{clientCfg: clientCfg{backoffBase: 10 * time.Millisecond, backoffMax: time.Second, jitter: rng.New(seed)}}
+		c := &ClientV2{cfg: clientCfg{backoffBase: 10 * time.Millisecond, backoffMax: time.Second, jitter: rng.New(seed)}}
 		out := make([]time.Duration, 8)
 		for i := range out {
 			out[i] = c.backoffDelay(i)
@@ -595,25 +608,19 @@ func TestFaultConnDeterminism(t *testing.T) {
 func TestFaultConnTornWriteReleasesServerSide(t *testing.T) {
 	addr, srv := startServerOpts(t)
 	// Raw conn so the test controls exactly what goes on the wire.
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := raw.Write([]byte(`{"op":"acquire","txn":1,"granules":[5],"exclusive":[true]}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 256)
-	if _, err := raw.Read(buf); err != nil {
-		t.Fatal(err)
+	raw := dialRaw(t, addr)
+	if st, body := raw.call(opAcquire, acquireBody(1, xreq(5), 0)); st != statusOK {
+		t.Fatalf("acquire: status %d %q", st, body)
 	}
 	if srv.Table().HeldBy(1) != 1 {
 		t.Fatal("acquire not granted")
 	}
-	// Torn frame: half a request, then death.
-	if _, err := raw.Write([]byte(`{"op":"rel`)); err != nil {
+	// Torn frame: half a release frame, then death.
+	release := raw.frame(opRelease, func(fb *frameBuf) { fb.appendU64(1) })
+	if _, err := raw.conn.Write(release[:len(release)/2]); err != nil {
 		t.Fatal(err)
 	}
-	raw.Close()
+	raw.conn.Close()
 	waitFor(t, func() bool { return srv.Table().HoldersCount() == 0 })
 	st := srv.Stats()
 	if st.ForceReleases != 1 {

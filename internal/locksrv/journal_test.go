@@ -92,6 +92,9 @@ func TestJournalGrantFailureWithdrawsClaim(t *testing.T) {
 	if err == nil {
 		t.Fatal("acquire acknowledged despite journal failure")
 	}
+	if !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("error %v, want ErrUnavailable", err)
+	}
 	if !strings.Contains(err.Error(), "grant journal") {
 		t.Fatalf("error %v, want journal detail", err)
 	}

@@ -1,7 +1,7 @@
 package locksrv
 
 import (
-	"encoding/json"
+	"bufio"
 	"net"
 	"strings"
 	"sync"
@@ -30,14 +30,66 @@ func startServer(t *testing.T) (string, *Server) {
 	return lis.Addr().String(), srv
 }
 
-func dial(t *testing.T, addr string) *Client {
+func dial(t *testing.T, addr string) *ClientV2 {
 	t.Helper()
-	c, err := Dial(addr)
+	return dialV2(t, addr)
+}
+
+// rawSession is a hand-driven protocol connection: the magic is sent,
+// then the test controls exactly which frames go on the wire.
+type rawSession struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+	id   uint64
+}
+
+func dialRaw(t *testing.T, addr string) *rawSession {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write([]byte(protoMagic)); err != nil {
+		t.Fatal(err)
+	}
+	return &rawSession{t: t, conn: conn, br: bufio.NewReader(conn)}
+}
+
+// frame encodes one request frame with the next request id.
+func (r *rawSession) frame(op byte, build func(fb *frameBuf)) []byte {
+	r.id++
+	fb := getFrame()
+	defer putFrame(fb)
+	fb.start(op, r.id)
+	build(fb)
+	fb.finish()
+	return append([]byte(nil), fb.bytes()...)
+}
+
+// call sends one request frame and returns the response's status and
+// body.
+func (r *rawSession) call(op byte, build func(fb *frameBuf)) (byte, string) {
+	r.t.Helper()
+	if _, err := r.conn.Write(r.frame(op, build)); err != nil {
+		r.t.Fatal(err)
+	}
+	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fb, st, id, body, err := readFrame(r.br)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	defer putFrame(fb)
+	if id != r.id {
+		r.t.Fatalf("response id %d, want %d", id, r.id)
+	}
+	return st, string(body)
+}
+
+// acquireBody builds an acquire frame body for the raw session.
+func acquireBody(txn int64, reqs []lockmgr.Request, timeoutMS int64) func(fb *frameBuf) {
+	return func(fb *frameBuf) { appendAcquireBody(fb, txn, reqs, timeoutMS) }
 }
 
 func xreq(granules ...int64) []lockmgr.Request {
@@ -157,32 +209,27 @@ func TestServerCloseUnblocksWaiters(t *testing.T) {
 	}
 }
 
+// TestProtocolErrors drives malformed requests over raw frames: each is
+// answered with its typed status, and none costs the session.
 func TestProtocolErrors(t *testing.T) {
 	addr, _ := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
-
-	check := func(req Request, wantErr string) {
+	r := dialRaw(t, addr)
+	check := func(name string, op byte, build func(fb *frameBuf), wantSt byte, wantErr string) {
 		t.Helper()
-		if err := enc.Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.OK || !strings.Contains(resp.Err, wantErr) {
-			t.Fatalf("response %+v, want error containing %q", resp, wantErr)
+		st, body := r.call(op, build)
+		if st != wantSt || !strings.Contains(body, wantErr) {
+			t.Fatalf("%s: status %d %q, want status %d containing %q", name, st, body, wantSt, wantErr)
 		}
 	}
-	check(Request{Op: "acquire", Txn: 1}, "without granules")
-	check(Request{Op: "acquire", Txn: 1, Granules: []int64{1}, Exclusive: []bool{true, false}}, "lengths differ")
-	check(Request{Op: "frobnicate"}, "unknown op")
+	check("unknown op", 99, func(*frameBuf) {}, statusUnknownOp, "unknown op 99")
+	check("zero granules", opAcquire, acquireBody(1, nil, 0), statusBadRequest, "without granules")
+	check("trailing bytes", opAcquire, func(fb *frameBuf) {
+		appendAcquireBody(fb, 1, xreq(1), 0)
+		fb.appendByte(0)
+	}, statusBadRequest, "malformed acquire body")
+	check("stats with body", opStats, func(fb *frameBuf) { fb.appendByte(1) }, statusBadRequest, "stats takes no body")
+	// The session survived every rejection.
+	check("valid acquire", opAcquire, acquireBody(1, xreq(1), 0), statusOK, "")
 }
 
 func TestDistributedConservationStress(t *testing.T) {
@@ -198,7 +245,7 @@ func TestDistributedConservationStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialV2(addr)
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return

@@ -3,7 +3,11 @@ package locksrv
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,42 +198,83 @@ func TestV2TimeoutAndNotOwner(t *testing.T) {
 	}
 }
 
-// TestV1V2Negotiation runs both protocols against one server at once:
-// the first byte routes each session, and both views of the lock table
-// agree.
-func TestV1V2Negotiation(t *testing.T) {
+// TestV1ClientRejected: a connection opening with '{' — a client of the
+// removed JSON protocol — gets the one typed rejection line and is
+// closed, while v2 sessions on the same listener keep being served.
+func TestV1ClientRejected(t *testing.T) {
 	addr, srv := startServer(t)
-	v1 := dial(t, addr)
-	v2 := dialV2(t, addr)
+	c := dialV2(t, addr)
 
-	// v2 takes a granule; v1 must see the conflict.
-	if err := v2.AcquireAll(1, xreq(50)); err != nil {
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v1.AcquireAllTimeout(2, xreq(50), 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("v1 vs v2 conflict: want ErrTimeout, got %v", err)
-	}
-	if err := v2.ReleaseAll(1); err != nil {
+	defer raw.Close()
+	if _, err := raw.Write([]byte(`{"op":"acquire","txn":1,"granules":[5],"exclusive":[true]}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	// And the reverse direction.
-	if err := v1.AcquireAll(3, xreq(51)); err != nil {
-		t.Fatal(err)
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(raw)
+	if err != nil {
+		t.Fatalf("reading rejection: %v", err)
 	}
-	if err := v2.AcquireAllTimeout(4, xreq(51), 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("v2 vs v1 conflict: want ErrTimeout, got %v", err)
+	if string(got) != v1Rejection {
+		t.Fatalf("rejection %q, want %q", got, v1Rejection)
 	}
-	if err := v1.ReleaseAll(3); err != nil {
-		t.Fatal(err)
+	var resp struct {
+		OK   bool   `json:"ok"`
+		Code string `json:"code"`
+	}
+	if err := json.Unmarshal(got, &resp); err != nil || resp.OK || resp.Code != "bad_request" {
+		t.Fatalf("rejection does not decode as a typed v1 error: %+v %v", resp, err)
+	}
+	if n := srv.Table().HoldersCount(); n != 0 {
+		t.Fatalf("rejected v1 request was executed: %d holders", n)
 	}
 
-	// Both sessions counted; exactly one of them negotiated v2.
-	ss := srv.serverStats()
-	if ss.Sessions != 2 {
-		t.Fatalf("sessions = %d, want 2", ss.Sessions)
+	// The v2 client is unaffected, and only it completed the handshake.
+	if err := c.AcquireAll(1, xreq(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReleaseAll(1); err != nil {
+		t.Fatal(err)
 	}
 	if got := srv.om.v2Sessions.Value(); got != 1 {
 		t.Fatalf("v2 sessions = %d, want 1", got)
+	}
+}
+
+// TestStatusErrTable pins the status → typed-error mapping: every
+// status decodes to its sentinel, and a status outside the table is a
+// malformed reply.
+func TestStatusErrTable(t *testing.T) {
+	if err := statusErr("op", statusOK, nil); err != nil {
+		t.Fatalf("statusOK decoded as %v", err)
+	}
+	want := map[byte]error{
+		statusTimeout:         ErrTimeout,
+		statusClosed:          ErrSessionClosed,
+		statusNotOwner:        ErrNotOwner,
+		statusBadRequest:      ErrBadRequest,
+		statusUnknownOp:       ErrUnknownOp,
+		statusRedirect:        ErrRedirect,
+		statusLeaseExpired:    ErrLeaseExpired,
+		statusUnavailable:     ErrUnavailable,
+		statusUnavailable + 1: ErrMalformedReply,
+		255:                   ErrMalformedReply,
+	}
+	for st, sentinel := range want {
+		err := statusErr("op", st, []byte("detail"))
+		if !errors.Is(err, sentinel) {
+			t.Errorf("status %d decoded as %v, want %v", st, err, sentinel)
+		}
+		if !strings.Contains(err.Error(), "detail") {
+			t.Errorf("status %d lost its detail: %v", st, err)
+		}
+	}
+	var re *RedirectError
+	if err := statusErr("op", statusRedirect, []byte("2 10.0.0.3:7654")); !errors.As(err, &re) || re.Node != 2 || re.Addr != "10.0.0.3:7654" {
+		t.Fatalf("redirect detail decoded as %v", err)
 	}
 }
 
@@ -425,7 +470,7 @@ func TestV2ReconnectAfterServerSideClose(t *testing.T) {
 }
 
 // TestV2GarbageMagicRejected: a connection that sends neither '{' nor
-// the v2 magic is dropped without wedging the server.
+// the magic is dropped unanswered without wedging the server.
 func TestV2GarbageMagicRejected(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dialV2(t, addr)

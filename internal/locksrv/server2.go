@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"io"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,7 +13,7 @@ import (
 	"granulock/internal/lockmgr"
 )
 
-// v2MaxInflight caps how many requests one v2 session may have
+// v2MaxInflight caps how many requests one session may have
 // executing at once. The cap bounds executor goroutines per connection;
 // excess frames wait in the read loop, which is exactly the
 // back-pressure a pipelining client expects.
@@ -32,27 +32,23 @@ type execWorker struct {
 	ch chan v2Work
 }
 
-// handleV2 runs the binary pipelined protocol: a reader that decodes
+// serveFrames runs the binary pipelined protocol: a reader that decodes
 // frames and dispatches each to a pooled executor goroutine (capped at
 // v2MaxInflight per session), and a single writer that drains completed
 // responses, coalescing them into few syscalls by flushing only when
 // the response queue goes idle. Responses therefore return out of
 // order, matched to requests by id. The reader notices disconnects
-// while executors are parked in blocking acquires, exactly as v1's
-// reader/executor split does.
+// while executors are parked in blocking acquires: it cancels the
+// session context, the acquire aborts, and the waiter's queue slot is
+// freed immediately instead of at grant time.
 //
 // Executors are recycled rather than spawned per frame: a fresh
 // goroutine starts with a minimal stack that the execute call chain
 // immediately has to grow, and at service request rates those stack
 // copies show up as a top-five CPU item. A worker that has run once
 // keeps its grown stack for the rest of the session.
-func (s *Server) handleV2(ctx context.Context, sess *session, br *bufio.Reader, sr *sessionReader, owned *ownedSet, pending *atomic.Int64) {
+func (s *Server) serveFrames(ctx context.Context, sess *session, br *bufio.Reader, sr *sessionReader, owned *ownedSet, pending *atomic.Int64) {
 	conn := sess.conn
-	var magic [len(protoMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != protoMagic {
-		return // not v2: no other protocol begins with a non-'{' byte
-	}
-	s.om.v2Sessions.Inc()
 
 	respCh := make(chan *frameBuf, v2MaxInflight)
 	writerDone := make(chan struct{})
@@ -107,7 +103,7 @@ func (s *Server) handleV2(ctx context.Context, sess *session, br *bufio.Reader, 
 		workers = append(workers, w)
 		go func() {
 			for wk := range w.ch {
-				resp := s.executeV2(ctx, sess, wk.op, wk.id, wk.body, owned)
+				resp := s.execute(ctx, sess, wk.op, wk.id, wk.body, owned)
 				putFrame(wk.fb)
 				select {
 				case respCh <- resp:
@@ -180,35 +176,35 @@ readLoop:
 	}
 }
 
-// executeV2 performs one v2 request and returns its response frame
-// (pooled; ownership passes to the caller).
-func (s *Server) executeV2(ctx context.Context, sess *session, op byte, id uint64, body []byte, owned *ownedSet) *frameBuf {
+// execute performs one request and returns its response frame (pooled;
+// ownership passes to the caller).
+func (s *Server) execute(ctx context.Context, sess *session, op byte, id uint64, body []byte, owned *ownedSet) *frameBuf {
 	switch op {
 	case opAcquire:
 		fr := frameReader{b: body}
 		txn, reqs, timeoutMS := parseAcquireBody(&fr)
 		if !fr.done() {
-			return errorFrame(id, statusBadRequest, "malformed acquire body")
+			return statusFrame(id, statusBadRequest, "malformed acquire body")
 		}
-		code, msg := s.acquireCore(ctx, sess, txn, reqs, timeoutMS, owned)
-		return statusFrame(id, code, msg)
+		st, msg := s.acquireCore(ctx, sess, txn, reqs, timeoutMS, owned)
+		return statusFrame(id, st, msg)
 	case opRelease:
 		fr := frameReader{b: body}
 		txn := lockmgr.TxnID(fr.u64())
 		if !fr.done() {
-			return errorFrame(id, statusBadRequest, "malformed release body")
+			return statusFrame(id, statusBadRequest, "malformed release body")
 		}
-		code, msg := s.releaseCore(ctx, sess, txn, owned)
-		return statusFrame(id, code, msg)
+		st, msg := s.releaseCore(ctx, sess, txn, owned)
+		return statusFrame(id, st, msg)
 	case opStats:
 		if len(body) != 0 {
-			return errorFrame(id, statusBadRequest, "stats takes no body")
+			return statusFrame(id, statusBadRequest, "stats takes no body")
 		}
 		ls := s.table.Stats()
 		ss := s.serverStats()
-		payload, err := json.Marshal(Response{OK: true, Stats: &ls, Server: &ss})
+		payload, err := json.Marshal(statsReply{OK: true, Stats: &ls, Server: &ss})
 		if err != nil {
-			return errorFrame(id, statusBadRequest, err.Error())
+			return statusFrame(id, statusBadRequest, err.Error())
 		}
 		fb := getFrame()
 		fb.start(statusOK, id)
@@ -222,7 +218,7 @@ func (s *Server) executeV2(ctx context.Context, sess *session, op byte, id uint6
 	case opLease:
 		return s.executeLease(ctx, sess, id, body, owned)
 	default:
-		return errorFrame(id, statusUnknownOp, "unknown v2 op")
+		return statusFrame(id, statusUnknownOp, fmt.Sprintf("unknown op %d", op))
 	}
 }
 
@@ -235,7 +231,7 @@ func (s *Server) executeLease(ctx context.Context, sess *session, id uint64, bod
 	fr.u64() // lease id: carried for observability, no fencing use yet
 	k := fr.u32()
 	if fr.bad || k == 0 || k > v2MaxInflight {
-		return errorFrame(id, statusBadRequest, "malformed lease count")
+		return statusFrame(id, statusBadRequest, "malformed lease count")
 	}
 	type item struct {
 		txn  lockmgr.TxnID
@@ -246,7 +242,7 @@ func (s *Server) executeLease(ctx context.Context, sess *session, id uint64, bod
 		txn := lockmgr.TxnID(fr.u64())
 		n := fr.u32()
 		if fr.bad || n > maxFrame/9 {
-			return errorFrame(id, statusBadRequest, "malformed lease body")
+			return statusFrame(id, statusBadRequest, "malformed lease body")
 		}
 		reqs := make([]lockmgr.Request, 0, n)
 		for j := uint32(0); j < n; j++ {
@@ -260,15 +256,15 @@ func (s *Server) executeLease(ctx context.Context, sess *session, id uint64, bod
 		items = append(items, item{txn, reqs})
 	}
 	if !fr.done() {
-		return errorFrame(id, statusBadRequest, "malformed lease body")
+		return statusFrame(id, statusBadRequest, "malformed lease body")
 	}
 	s.om.batchOps.Add(int64(k))
-	codes := make([]string, k)
+	sts := make([]byte, k)
 	msgs := make([]string, k)
 	for i := range items {
-		codes[i], msgs[i] = s.leaseCore(ctx, sess, items[i].txn, items[i].reqs, owned)
+		sts[i], msgs[i] = s.leaseCore(ctx, sess, items[i].txn, items[i].reqs, owned)
 	}
-	return batchFrame(id, codes, msgs)
+	return batchFrame(id, sts, msgs)
 }
 
 // parseAcquireBody decodes one acquire body (txn, timeout, granule+mode
@@ -302,7 +298,7 @@ func (s *Server) executeAcquireN(ctx context.Context, sess *session, id uint64, 
 	fr := frameReader{b: body}
 	k := fr.u32()
 	if fr.bad || k == 0 || k > v2MaxInflight {
-		return errorFrame(id, statusBadRequest, "malformed acquireN count")
+		return statusFrame(id, statusBadRequest, "malformed acquireN count")
 	}
 	type sub struct {
 		txn       lockmgr.TxnID
@@ -315,10 +311,10 @@ func (s *Server) executeAcquireN(ctx context.Context, sess *session, id uint64, 
 		subs = append(subs, sub{txn, reqs, timeoutMS})
 	}
 	if !fr.done() {
-		return errorFrame(id, statusBadRequest, "malformed acquireN body")
+		return statusFrame(id, statusBadRequest, "malformed acquireN body")
 	}
 	s.om.batchOps.Add(int64(k))
-	codes := make([]string, k)
+	sts := make([]byte, k)
 	msgs := make([]string, k)
 	var wg sync.WaitGroup
 	for i := range subs {
@@ -326,11 +322,11 @@ func (s *Server) executeAcquireN(ctx context.Context, sess *session, id uint64, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			codes[i], msgs[i] = s.acquireCore(ctx, sess, subs[i].txn, subs[i].reqs, subs[i].timeoutMS, owned)
+			sts[i], msgs[i] = s.acquireCore(ctx, sess, subs[i].txn, subs[i].reqs, subs[i].timeoutMS, owned)
 		}()
 	}
 	wg.Wait()
-	return batchFrame(id, codes, msgs)
+	return batchFrame(id, sts, msgs)
 }
 
 // executeReleaseN releases a batch of transactions sequentially
@@ -339,53 +335,45 @@ func (s *Server) executeReleaseN(ctx context.Context, sess *session, id uint64, 
 	fr := frameReader{b: body}
 	k := fr.u32()
 	if fr.bad || k == 0 || k > maxFrame/8 {
-		return errorFrame(id, statusBadRequest, "malformed releaseN count")
+		return statusFrame(id, statusBadRequest, "malformed releaseN count")
 	}
 	txns := make([]lockmgr.TxnID, 0, k)
 	for i := uint32(0); i < k; i++ {
 		txns = append(txns, lockmgr.TxnID(fr.u64()))
 	}
 	if !fr.done() {
-		return errorFrame(id, statusBadRequest, "malformed releaseN body")
+		return statusFrame(id, statusBadRequest, "malformed releaseN body")
 	}
 	s.om.batchOps.Add(int64(k))
-	codes := make([]string, k)
+	sts := make([]byte, k)
 	msgs := make([]string, k)
 	for i, txn := range txns {
-		codes[i], msgs[i] = s.releaseCore(ctx, sess, txn, owned)
+		sts[i], msgs[i] = s.releaseCore(ctx, sess, txn, owned)
 	}
-	return batchFrame(id, codes, msgs)
+	return batchFrame(id, sts, msgs)
 }
 
-// statusFrame builds a plain response frame from a core outcome.
-func statusFrame(id uint64, code, msg string) *frameBuf {
-	if code == "" {
-		fb := getFrame()
-		fb.start(statusOK, id)
-		fb.finish()
-		return fb
-	}
-	return errorFrame(id, codeToStatus(code), msg)
-}
-
-// errorFrame builds an error response carrying the detail message.
-func errorFrame(id uint64, status byte, msg string) *frameBuf {
+// statusFrame builds a plain response frame: the status byte, and for
+// an error status the detail message as the body.
+func statusFrame(id uint64, st byte, msg string) *frameBuf {
 	fb := getFrame()
-	fb.start(status, id)
-	fb.appendBytes([]byte(msg))
+	fb.start(st, id)
+	if st != statusOK {
+		fb.appendBytes([]byte(msg))
+	}
 	fb.finish()
 	return fb
 }
 
-// batchFrame builds an acquireN/releaseN response: frame status OK,
-// body = k(4) then k × (status(1) msgLen(4) msg).
-func batchFrame(id uint64, codes, msgs []string) *frameBuf {
+// batchFrame builds an acquireN/releaseN/lease response: frame status
+// OK, body = k(4) then k × (status(1) msgLen(4) msg).
+func batchFrame(id uint64, sts []byte, msgs []string) *frameBuf {
 	fb := getFrame()
 	fb.start(statusOK, id)
-	fb.appendU32(uint32(len(codes)))
-	for i, code := range codes {
-		fb.appendByte(codeToStatus(code))
-		if code == "" {
+	fb.appendU32(uint32(len(sts)))
+	for i, st := range sts {
+		fb.appendByte(st)
+		if st == statusOK {
 			fb.appendU32(0)
 			continue
 		}

@@ -125,6 +125,28 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
+// Quantile estimates the q-quantile (0 < q ≤ 1) at bucket resolution:
+// the upper bound of the bucket holding the sample of rank ⌈q·count⌉.
+// A quantile in the +Inf bucket reports the last finite bound, as
+// Prometheus's histogram_quantile does. With no samples it returns 0,
+// not NaN, so the value is always JSON-encodable.
+func (h *Histogram) Quantile(q float64) float64 {
+	cum, _, _ := h.snapshot()
+	total := cum[len(cum)-1]
+	if total == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(q * float64(total)))
+	if rank < 1 {
+		rank = 1
+	}
+	i := sort.Search(len(h.bounds), func(i int) bool { return cum[i] >= rank })
+	if i == len(h.bounds) {
+		i--
+	}
+	return h.bounds[i]
+}
+
 // snapshot returns the cumulative per-bound counts (le semantics,
 // +Inf last), the total count and the sum, mutually consistent enough
 // for exposition (Prometheus scrapes tolerate small skew).

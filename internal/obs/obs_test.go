@@ -72,6 +72,31 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+func TestHistogramQuantile(t *testing.T) {
+	r := NewRegistry()
+	h := r.NewHistogram("test_quantile", "q", []float64{1, 2, 5})
+	if got := h.Quantile(0.5); got != 0 {
+		t.Fatalf("empty histogram quantile = %v, want 0", got)
+	}
+	// Ten samples: four in le=1, three in le=2, two in le=5, one above.
+	for _, x := range []float64{0, 0.5, 1, 1, 1.5, 2, 2, 3, 5, 100} {
+		h.Observe(x)
+	}
+	for _, c := range []struct{ q, want float64 }{
+		{0.01, 1}, // rank 1
+		{0.40, 1}, // rank 4: last sample of le=1
+		{0.41, 2}, // rank 5
+		{0.50, 2},
+		{0.90, 5}, // rank 9
+		{0.99, 5}, // rank 10 is in +Inf: the last finite bound
+		{1, 5},
+	} {
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+}
+
 func TestLabeledFamilies(t *testing.T) {
 	r := NewRegistry()
 	cv := r.NewCounterVec("test_events_total", "events", "kind")

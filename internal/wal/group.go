@@ -71,7 +71,9 @@ type flushSink interface {
 }
 
 // nopSync adapts a plain io.Writer (no Sync method) to flushSink.
-type nopSync struct{ w interface{ Write([]byte) (int, error) } }
+type nopSync struct {
+	w interface{ Write([]byte) (int, error) }
+}
 
 func (n nopSync) Write(p []byte) (int, error) { return n.w.Write(p) }
 func (n nopSync) Sync() error                 { return nil }

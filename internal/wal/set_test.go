@@ -196,8 +196,8 @@ func TestSetRecoverConservesTransfersUnderTailCuts(t *testing.T) {
 	// Entities: even → part 0, odd → part 1, initial value 100 each.
 	const n = 4
 	for txn := int64(1); txn <= 6; txn++ {
-		src := (txn * 2) % n       // even entity, part 0
-		dst := (txn*2 + 1) % n     // odd entity, part 1
+		src := (txn * 2) % n   // even entity, part 0
+		dst := (txn*2 + 1) % n // odd entity, part 1
 		mask := Mask(0, 1)
 		if err := s.Commit([]PartGroup{
 			{Part: 0, Records: []Record{
